@@ -1,0 +1,9 @@
+"""Make the benchmark's modules importable as top-level names, as run.py
+does, and the program importable from the source tree."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parents[1] / "src"))
