@@ -96,8 +96,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batched", action="store_true",
         help="vectorize local training across the cohort (one (K, P) batched "
-        "program per round; see docs/PERFORMANCE.md) — omit to force the "
-        "sequential bit-exact oracle",
+        "program per round, MLP models only; see docs/PERFORMANCE.md) — omit "
+        "to force the sequential bit-exact oracle",
     )
 
 

@@ -44,10 +44,9 @@ class ExperimentConfig:
     speed_spread: float = 0.3  # client compute heterogeneity for Fig. 5
     target_accuracy: Optional[float] = None  # None -> dataset default target
     #: Run each round's benign clients through one (K, P) batched program
-    #: (see repro.fl.batched).  Off by default: the sequential path is the
-    #: bit-exact oracle, and batched runs are bit-identical only for
-    #: strategies without correction state under float64 (fedavg) —
-    #: correction strategies land within a few machine epsilon.
+    #: (see repro.fl.batched); MLP models only, other models stay
+    #: sequential.  Off by default: the sequential path is the bit-exact
+    #: oracle, which float64 batched runs reproduce byte for byte.
     batched_execution: bool = False
 
     def __post_init__(self) -> None:

@@ -9,6 +9,7 @@ paper's comparisons.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
@@ -184,7 +185,9 @@ def make_experiment_strategy(config: ExperimentConfig, name: str, **overrides) -
 #: Memoised default-parameter runs: (config, algorithm) -> result.  Runs are
 #: deterministic given (config, name), so sharing them across experiment
 #: modules (Fig. 2/4/5 and Table V all analyse the same trainings) is safe
-#: and saves substantial single-core compute.
+#: and saves substantial single-core compute.  Entries are private copies
+#: and every hit returns a fresh deep copy, so a caller that mutates its
+#: result cannot change what later callers see.
 _RESULT_CACHE: Dict[tuple, SimulationResult] = {}
 
 
@@ -224,7 +227,7 @@ def run_algorithm(
     # served from (or poison) the float64 cache.
     cache_key = (config, name, get_default_dtype().name)
     if cacheable and cache_key in _RESULT_CACHE:
-        result = _RESULT_CACHE[cache_key]
+        result = copy.deepcopy(_RESULT_CACHE[cache_key])
         # A cache hit still honours an active recording session — the
         # result carries its own diagnostics, so the record is identical
         # to what the uncached run would have written.
@@ -257,7 +260,7 @@ def run_algorithm(
         resume_from=resume_from,
     )
     if cacheable:
-        _RESULT_CACHE[cache_key] = result
+        _RESULT_CACHE[cache_key] = copy.deepcopy(result)
     _emit_run_record(config, name, result)
     return result
 

@@ -4,9 +4,11 @@ The sequential round loop trains clients one at a time, so per-round wall
 time grows linearly with cohort size even though every benign client runs
 the *same* tensor program.  This module stacks the cohort's flat parameter
 vectors into one ``(K, P)`` :class:`~repro.nn.arena.BatchedClientArena` and
-runs the K local SGD trajectories as batched tensor ops (leading client
-axis through the im2col/matmul machinery in :mod:`repro.autograd.ops`),
-emitting all K :class:`~repro.fl.state.ClientUpdate`\\ s from one program.
+runs the K local SGD trajectories as batched matmuls with a leading client
+axis (:class:`~repro.nn.batched.BatchedModelProgram`), emitting all K
+:class:`~repro.fl.state.ClientUpdate`\\ s from one program.  Only MLPs are
+batched; every other model keeps the sequential loop, which measured
+faster for the CNNs (docs/PERFORMANCE.md).
 
 Design constraints, in order:
 
@@ -21,14 +23,13 @@ Design constraints, in order:
    ``min(batch_size, len(dataset))`` — padding a GEMM would change BLAS
    blocking and break bit-identity, so each group runs its own batched
    program and singleton groups fall back to the (trivially exact)
-   sequential client.  Within the batched loss, per-client masking via
-   ``counts`` is available for callers that do pad (see
-   :func:`~repro.autograd.ops.batched_cross_entropy`).
+   sequential client.
 3. **Oracle fallback.**  Only clients whose ``local_round`` is the stock
    :meth:`Client.local_round <repro.fl.client.Client.local_round>` are
    eligible — attack/freeloader subclasses run sequentially, and models
-   without a registered batched forward keep the whole cohort sequential
-   (``BatchedCohortExecutor.try_build`` returns ``None``).
+   :func:`~repro.nn.batched.supports_batched` rejects keep the whole
+   cohort sequential (``BatchedCohortExecutor.try_build`` returns
+   ``None``).
 
 Memory: peak extra footprint is O(K·P) for the parameter matrix plus the
 same for gradients — independent of population size and of the number of
@@ -57,8 +58,8 @@ Job = Tuple[Client, Dict[str, Any]]
 class BatchedCohortExecutor:
     """Runs a round's eligible clients through one ``(K, P)`` batched program.
 
-    Build via :meth:`try_build`, which returns ``None`` when the model has
-    no batched forward — the simulation then stays on the sequential path.
+    Build via :meth:`try_build`, which returns ``None`` when the model
+    cannot be batched — the simulation then stays on the sequential path.
     Programs are cached per group size, so steady-state rounds allocate no
     new arenas.
     """

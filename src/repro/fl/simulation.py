@@ -100,11 +100,11 @@ class FederatedSimulation:
     batched_execution:
         When ``True``, run each round's benign clients through one
         ``(K, P)`` batched program (:mod:`repro.fl.batched`) instead of
-        sequentially — bit-identical for fedavg under float64, near-machine
-        parity for correction strategies, ~cohort-size faster on CNN
-        workloads.  Clients with custom ``local_round`` overrides and
-        models without a batched forward silently keep the sequential
-        oracle.
+        sequentially — byte-identical to the sequential oracle for every
+        registered strategy under float64, and several times faster end to
+        end on the adult MLP.  Only plain MLPs are batched: other models
+        (the CNNs measured slower batched) and clients with custom
+        ``local_round`` overrides silently keep the sequential oracle.
     """
 
     def __init__(
@@ -152,8 +152,8 @@ class FederatedSimulation:
         if batched_execution:
             from .batched import BatchedCohortExecutor  # deferred: optional path
 
-            # ``None`` when the model has no batched forward — the round
-            # loop then silently stays on the sequential oracle.
+            # ``None`` unless the model is a plain MLP — the round loop
+            # then silently stays on the sequential oracle.
             self.batched_executor = BatchedCohortExecutor.try_build(model)
 
         self.server = Server(model.parameters_vector(), self.global_lr, len(clients))

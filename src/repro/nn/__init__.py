@@ -2,7 +2,7 @@
 
 from .activations import Flatten, ReLU, Sigmoid, Tanh
 from .arena import BatchedClientArena, FlatParameterArena
-from .batched import BatchedModelProgram, build_batched_forward, supports_batched
+from .batched import BatchedModelProgram, supports_batched
 from .conv import Conv2d
 from .dropout import Dropout
 from .embedding import Embedding
@@ -20,7 +20,6 @@ __all__ = [
     "FlatParameterArena",
     "BatchedClientArena",
     "BatchedModelProgram",
-    "build_batched_forward",
     "supports_batched",
     "arena_enabled",
     "set_arena_enabled",

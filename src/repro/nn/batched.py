@@ -1,155 +1,64 @@
-"""Batched multi-client model programs.
+"""Batched multi-client model programs for MLPs.
 
-A :class:`BatchedModelProgram` replicates one template model K times inside
-a single :class:`~repro.nn.arena.BatchedClientArena`: every parameter
-becomes a ``(clients, *shape)`` :class:`~repro.nn.module.Parameter` whose
-row ``k`` is a zero-copy view of client k's slice of the ``(K, P)`` buffer.
-``forward`` maps ``(clients, batch, ...)`` inputs to ``(clients, batch,
-classes)`` logits through the client-batched kernels in
-:mod:`repro.autograd.ops`, and the whole program is constructed so that
-slice ``k`` of the forward pass — and of every parameter gradient — is
-bit-identical to running the template model on client k's row alone (see
-tests/autograd/test_batched_ops.py and tests/fl/test_batched_execution.py).
+A :class:`BatchedModelProgram` replicates one template
+:class:`~repro.nn.models.mlp.MLP` K times inside a single
+:class:`~repro.nn.arena.BatchedClientArena`: every parameter becomes a
+``(clients, *shape)`` :class:`~repro.nn.module.Parameter` whose row ``k`` is
+a zero-copy view of client k's slice of the ``(K, P)`` buffer.  ``forward``
+maps ``(clients, batch, ...)`` inputs to ``(clients, batch, classes)``
+logits through :func:`~repro.autograd.ops.batched_linear`, and the whole
+program is constructed so that slice ``k`` of the forward pass — and of
+every parameter gradient — is bit-identical to running the template model
+on client k's row alone (see tests/autograd/test_batched_ops.py and
+tests/fl/test_batched_execution.py).
 
-Only model architectures with a registered forward builder can be batched;
-:func:`supports_batched` is the gate the simulation loop checks before
-taking the batched path, and anything unsupported silently stays on the
-sequential oracle.
+Only MLPs are batched: on their small dense layers one batched program
+beats K sequential graphs end to end, while a client-batched CNN measured
+slower than the sequential loop (docs/PERFORMANCE.md).
+:func:`supports_batched` is the single gate; any model it rejects stays on
+the sequential oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import (
-    Tensor,
-    batched_conv2d,
-    batched_linear,
-    batched_max_pool2d,
-)
-from .activations import ReLU
+from ..autograd import Tensor, batched_linear
 from .arena import BatchedClientArena
 from .linear import Linear
-from .models.cnn import PaperCNN
 from .models.mlp import MLP
 from .module import Module, Parameter
 
-#: A batched forward: (batched parameters in template order, input) -> logits.
-BatchedForward = Callable[[Sequence[Parameter], Tensor], Tensor]
-
-
-class _ParamCursor:
-    """Walks the flat batched-parameter list in template order."""
-
-    __slots__ = ("params", "index")
-
-    def __init__(self, params: Sequence[Parameter]) -> None:
-        self.params = params
-        self.index = 0
-
-    def take(self, has_bias: bool):
-        weight = self.params[self.index]
-        self.index += 1
-        bias = None
-        if has_bias:
-            bias = self.params[self.index]
-            self.index += 1
-        return weight, bias
-
-
-def _build_paper_cnn(template: PaperCNN) -> BatchedForward:
-    conv_specs = [
-        (template.conv1.stride, template.conv1.padding, template.conv1.bias is not None),
-        (template.conv2.stride, template.conv2.padding, template.conv2.bias is not None),
-    ]
-    fc_specs = [
-        template.fc1.bias is not None,
-        template.fc2.bias is not None,
-        template.fc3.bias is not None,
-    ]
-
-    def forward(params: Sequence[Parameter], x: Tensor) -> Tensor:
-        cursor = _ParamCursor(params)
-        for stride, padding, has_bias in conv_specs:
-            weight, bias = cursor.take(has_bias)
-            x = batched_conv2d(x, weight, bias, stride=stride, padding=padding)
-            x = batched_max_pool2d(x.relu(), 2)
-        x = x.flatten(start_dim=2)
-        for position, has_bias in enumerate(fc_specs):
-            weight, bias = cursor.take(has_bias)
-            x = batched_linear(x, weight, bias)
-            if position < len(fc_specs) - 1:
-                x = x.relu()
-        return x
-
-    return forward
-
-
-def _build_mlp(template: MLP) -> Optional[BatchedForward]:
-    plan: List[tuple] = []
-    for layer in template.net:
-        if isinstance(layer, Linear):
-            plan.append(("linear", layer.bias is not None))
-        elif isinstance(layer, ReLU):
-            plan.append(("relu", False))
-        else:
-            return None  # custom layer type — stay on the sequential path
-
-    def forward(params: Sequence[Parameter], x: Tensor) -> Tensor:
-        if x.ndim > 3:
-            x = x.flatten(start_dim=2)
-        cursor = _ParamCursor(params)
-        for kind, has_bias in plan:
-            if kind == "relu":
-                x = x.relu()
-            else:
-                weight, bias = cursor.take(has_bias)
-                x = batched_linear(x, weight, bias)
-        return x
-
-    return forward
-
-
-def build_batched_forward(template: Module) -> Optional[BatchedForward]:
-    """A batched forward for ``template``, or ``None`` if unsupported.
-
-    Dispatch is on the exact model type — a subclass may override
-    ``forward`` arbitrarily, so it must opt in with its own builder.
-    """
-    if type(template) is PaperCNN:
-        return _build_paper_cnn(template)
-    if type(template) is MLP:
-        return _build_mlp(template)
-    return None
-
 
 def supports_batched(template: Module) -> bool:
-    """Whether the batched execution path can replicate ``template``."""
-    if build_batched_forward(template) is None:
-        return False
-    return BatchedClientArena.from_parameters(1, template.parameters()) is not None
+    """Whether the batched execution path can replicate ``template``.
+
+    Only the exact :class:`MLP` type qualifies — a subclass may override
+    ``forward`` arbitrarily — and its parameters must fit one arena.
+    """
+    return (
+        type(template) is MLP
+        and BatchedClientArena.from_parameters(1, template.parameters()) is not None
+    )
 
 
 class BatchedModelProgram:
-    """K client replicas of a template model over one ``(K, P)`` arena."""
+    """K client replicas of a template MLP over one ``(K, P)`` arena."""
 
     def __init__(self, template: Module, clients: int) -> None:
-        forward_fn = build_batched_forward(template)
-        if forward_fn is None:
-            raise ValueError(
-                f"no batched forward registered for {type(template).__name__}"
-            )
-        template_params = template.parameters()
-        arena = BatchedClientArena.from_parameters(clients, template_params)
-        if arena is None:
-            raise ValueError(
-                f"{type(template).__name__} parameters cannot be arena-backed"
-            )
+        if not supports_batched(template):
+            raise ValueError(f"{type(template).__name__} cannot be batched")
+        arena = BatchedClientArena.from_parameters(clients, template.parameters())
         self.clients = clients
         self.arena = arena
-        self._forward_fn = forward_fn
+        # One entry per layer of ``template.net``: a Linear's has-bias flag,
+        # or ``None`` for a ReLU.
+        self._layers: List[Optional[bool]] = [
+            layer.bias is not None if isinstance(layer, Linear) else None
+            for layer in template.net
+        ]
         self.params: List[Parameter] = []
         for index in range(len(arena)):
             view = arena.view(index)
@@ -157,13 +66,6 @@ class BatchedModelProgram:
             param.data = view  # guarantee zero-copy aliasing into the arena
             self.params.append(param)
         arena.bind(self.params)
-
-    @classmethod
-    def try_build(cls, template: Module, clients: int) -> Optional["BatchedModelProgram"]:
-        """Build a program, or ``None`` when the model is unsupported."""
-        if not supports_batched(template):
-            return None
-        return cls(template, clients)
 
     # ------------------------------------------------------------------
     def load_rows(self, rows: Sequence[np.ndarray]) -> None:
@@ -184,7 +86,15 @@ class BatchedModelProgram:
 
     def forward(self, x: Tensor) -> Tensor:
         """Batched logits ``(clients, batch, classes)`` for batched input."""
-        return self._forward_fn(self.params, x)
+        if x.ndim > 3:
+            x = x.flatten(start_dim=2)
+        params = iter(self.params)  # template order: weight, then bias
+        for has_bias in self._layers:
+            if has_bias is None:
+                x = x.relu()
+            else:
+                x = batched_linear(x, next(params), next(params) if has_bias else None)
+        return x
 
     def gradients_matrix(self) -> np.ndarray:
         """Copy of the ``(clients, P)`` gradient matrix (zeros where unset)."""

@@ -35,8 +35,8 @@ KERNEL_SPEEDUP_FLOORS: Dict[str, float] = {
     "max_pool2d": 5.0,
     "cnn_round": 2.0,
     "conv2d": 1.5,
-    # Batched K=8 cohort round vs the pre-batching sequential execution
-    # (naive kernels, no arena, per-client loop) — see bench_batched_round.
+    # Batched K=8 adult-MLP cohort round vs the production sequential
+    # client loop (today's kernels, arena on) — see bench_batched_round.
     "batched_round": 3.0,
 }
 

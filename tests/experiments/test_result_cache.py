@@ -5,14 +5,38 @@ import numpy as np
 from repro.autograd import default_dtype, get_default_dtype
 from repro.experiments import run_algorithm
 from repro.experiments.runner import _RESULT_CACHE
+from repro.fl import FederatedSimulation
 
 
 class TestResultCache:
-    def test_default_runs_cached(self, tiny_config):
+    def test_default_runs_cached(self, tiny_config, monkeypatch):
         _RESULT_CACHE.clear()
+        runs = []
+        original_run = FederatedSimulation.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(1)
+            return original_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(FederatedSimulation, "run", counting_run)
         first = run_algorithm(tiny_config, "fedavg")
         second = run_algorithm(tiny_config, "fedavg")
-        assert first is second  # identical object: no re-training
+        assert len(runs) == 1  # the second call is served without re-training
+        assert first.final_params.tobytes() == second.final_params.tobytes()
+
+    def test_hits_are_independent_copies(self, tiny_config):
+        _RESULT_CACHE.clear()
+        first = run_algorithm(tiny_config, "fedavg")
+        params = first.final_params.copy()
+        accuracies = first.history.accuracies
+        first.final_params[:] = 0.0
+        first.history.records.clear()
+        second = run_algorithm(tiny_config, "fedavg")
+        assert second is not first
+        assert np.array_equal(second.final_params, params)
+        assert np.array_equal(second.history.accuracies, accuracies)
+        second.final_params[:] = 1.0
+        assert np.array_equal(run_algorithm(tiny_config, "fedavg").final_params, params)
 
     def test_overrides_bypass_cache(self, tiny_config):
         _RESULT_CACHE.clear()
