@@ -10,6 +10,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "==> tier-1 test suite"
 python -m pytest -x -q
 
+echo "==> wall-clock benchmark helper tests (perfbench/tests)"
+python -m pytest -q perfbench/tests
+
 echo "==> fault-injection smoke run (30% drops + 10% NaN corruption)"
 python -m repro.cli run \
     --dataset adult --algorithm taco --clients 6 --rounds 4 \

@@ -27,10 +27,11 @@ true overhead.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, Sequence
 
 import numpy as np
 
+from ..fl.sampling import exclude_ids
 from ..fl.state import ClientUpdate, ServerState
 from ..fl.timing import ComputeProfile
 
@@ -155,9 +156,19 @@ class Strategy:
     def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
         """Update auxiliary server state after aggregation."""
 
-    def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> List[int]:
-        """Clients participating this round (TACO expels freeloaders)."""
-        return list(all_clients)
+    @property
+    def expelled(self) -> frozenset[int]:
+        """Clients barred from training (TACO expels freeloaders)."""
+        return frozenset()
+
+    def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> Sequence[int]:
+        """``all_clients`` without :attr:`expelled`, in order.
+
+        ``all_clients`` itself when nothing is expelled; a ``range`` stays
+        lazy (:func:`~repro.fl.sampling.exclude_ids`), so the async
+        coordinator's million-id registry is never materialised.
+        """
+        return exclude_ids(all_clients, self.expelled)
 
     def final_output(self, state: ServerState) -> np.ndarray:
         """The model the algorithm reports at the end (TACO returns z_T)."""

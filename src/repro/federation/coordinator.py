@@ -255,15 +255,7 @@ class AsyncCoordinator:
     # Dispatch
     # ------------------------------------------------------------------
     def _active_ids(self) -> Sequence[int]:
-        """Active population, O(1) when the strategy has no expulsions.
-
-        The base :class:`Strategy` returns all clients; detecting that the
-        method was never overridden lets the registry's ``range`` pass
-        through unmaterialized.  Strategies that do override (TACO's
-        expulsion) pay O(population) here — documented in SCALING.md.
-        """
-        if type(self.strategy).active_clients is Strategy.active_clients:
-            return self.registry.ids()
+        """Active population: the registry's ``range``, lazily minus expulsions."""
         return self.strategy.active_clients(self.server.state, self.registry.ids())
 
     def _select(
@@ -763,14 +755,10 @@ class AsyncCoordinator:
         return record
 
     def _newly_expelled(self) -> List[int]:
-        """Expulsions since the last flush, without scanning the population.
-
-        Strategies with expulsion (TACO) expose the expelled set directly;
-        diffing it against what we've already reported is O(expelled),
-        unlike re-deriving it from ``active_clients`` which is
-        O(population).
+        """Expulsions since the last flush, without scanning the population:
+        :attr:`Strategy.expelled` minus what was already reported, O(expelled).
         """
-        expelled_now = getattr(self.strategy, "expelled", None)
+        expelled_now = self.strategy.expelled
         if not expelled_now:
             return []
         fresh = sorted(set(expelled_now) - self._expelled_seen)

@@ -12,16 +12,87 @@ can select one with a string — an unknown name fails with the full list of
 registered kinds (mirroring the attack registry).
 
 ``active`` may be any integer :class:`~typing.Sequence`, including a
-``range`` — schemes must not materialise it, so selecting 20 clients from a
-million-id population costs O(cohort), not O(population), memory.
+``range`` or the :class:`RangeExcluding` view :func:`exclude_ids` builds
+when a strategy expels clients — schemes must not materialise it, so
+selecting 20 clients from a million-id population costs O(cohort), not
+O(population), memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Protocol, Sequence, Type, runtime_checkable
+import operator
+from bisect import bisect_left, bisect_right
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Protocol,
+    Sequence,
+    Type,
+    runtime_checkable,
+)
 
 import numpy as np
+
+
+class RangeExcluding(Sequence[int]):
+    """``ids`` without ``excluded``, as a lazy sequence.
+
+    Yields exactly ``[c for c in ids if c not in excluded]`` — same ids,
+    same order — but stores only the excluded positions: ``len`` is O(1),
+    indexing O(log expelled) and ``in`` O(log expelled).  Excluded ids
+    outside ``ids`` are ignored.
+    """
+
+    def __init__(self, ids: range, excluded: Iterable[int]) -> None:
+        self._ids = ids
+        #: Positions in ``ids`` of the excluded clients, ascending.
+        self._holes = sorted({ids.index(cid) for cid in excluded if cid in ids})
+        #: ``_kept_before[k]``: kept ids that precede hole k (non-decreasing).
+        self._kept_before = [pos - k for k, pos in enumerate(self._holes)]
+
+    def __len__(self) -> int:
+        return len(self._ids) - len(self._holes)
+
+    def __getitem__(self, index: int) -> int:
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("RangeExcluding index out of range")
+        # Every hole with at most i kept ids before it precedes kept id i.
+        return self._ids[i + bisect_right(self._kept_before, i)]
+
+    def __iter__(self) -> Iterator[int]:
+        start = 0
+        for hole in self._holes:
+            yield from self._ids[start:hole]
+            start = hole + 1
+        yield from self._ids[start:]
+
+    def __contains__(self, client_id: object) -> bool:
+        if client_id not in self._ids:
+            return False
+        pos = self._ids.index(client_id)
+        k = bisect_left(self._holes, pos)
+        return k == len(self._holes) or self._holes[k] != pos
+
+
+def exclude_ids(ids: Sequence[int], excluded: AbstractSet[int]) -> Sequence[int]:
+    """The ids of ``ids`` not in ``excluded``, in order.
+
+    ``ids`` itself when nothing is excluded, a :class:`RangeExcluding` view
+    when ``ids`` is a ``range`` (so a registry's million-id population is
+    never materialised), and the filtered list otherwise.
+    """
+    if not excluded:
+        return ids
+    if isinstance(ids, range):
+        return RangeExcluding(ids, excluded)
+    return [cid for cid in ids if cid not in excluded]
 
 
 @runtime_checkable

@@ -10,7 +10,8 @@ metrics into the training loop of Algorithm 1/2:
 5. the global model is evaluated on the test set.
 
 Freeloader clients (``repro.attacks``) plug in through the same Client
-interface; TACO's expulsion shows up via ``Strategy.active_clients``.
+interface; TACO's expulsion shows up via ``Strategy.expelled``, which
+``Strategy.active_clients`` filters out.
 
 Fault tolerance (see docs/ROBUSTNESS.md): an optional
 :class:`~repro.faults.FaultPlan` injects crashes, stragglers, corrupted

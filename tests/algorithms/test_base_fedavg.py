@@ -29,7 +29,9 @@ class TestStrategyBase:
         assert strategy.prox_gradient(np.zeros(3), {}) is None
         grad = np.ones(3)
         assert strategy.local_direction(0, 0, np.zeros(3), grad, lambda p: grad, {}) is grad
-        assert strategy.active_clients(state, [0, 1]) == [0, 1]
+        assert strategy.expelled == frozenset()
+        population = range(1_000_000)
+        assert strategy.active_clients(state, population) is population
         np.testing.assert_allclose(strategy.final_output(state), np.zeros(3))
 
     def test_aggregate_empty_raises(self):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.algorithms import make_strategy
+from repro.algorithms import algorithm_names, make_strategy
 from repro.federation import (
     AsyncCoordinator,
     ClientRegistry,
@@ -17,6 +17,7 @@ from repro.fl.degradation import REASON_STALE, DegradationPolicy
 from repro.fl.sampling import FullParticipation
 from repro.fl.simulation import FederatedSimulation
 from repro.runrecord import build_run_record
+from repro.scenarios.defences import AggregationDefence
 
 
 def small_coordinator(algorithm="fedavg", seed=0, **kwargs):
@@ -73,51 +74,76 @@ class TestDeterminism:
         assert arrivals_a != arrivals_b
 
 
+def run_both_engines(make, population=8, rounds=4, seed=0):
+    """Run ``make()``'s strategy async (B == cohort == population) and sync."""
+
+    def registry():
+        return ClientRegistry(
+            population=population, seed=seed, samples_per_client=16, batch_size=8
+        )
+
+    async_reg = registry()
+    coordinator = AsyncCoordinator(
+        registry=async_reg,
+        strategy=make(),
+        test_set=async_reg.test_set(60),
+        cohort_size=population,
+        buffer_size=population,
+        participation=FullParticipation(),
+        seed=seed,
+        model=async_reg.make_model(width_multiplier=0.5),
+    )
+    async_result = coordinator.run(rounds)
+
+    sync_reg = registry()
+    simulation = FederatedSimulation(
+        model=sync_reg.make_model(width_multiplier=0.5),
+        clients=[sync_reg.materialize(cid) for cid in sync_reg.ids()],
+        strategy=make(),
+        test_set=sync_reg.test_set(60),
+        participation=FullParticipation(),
+        seed=seed,
+    )
+    return coordinator, async_result, simulation.run(rounds)
+
+
 class TestSyncOracle:
     """B == cohort == population, zero staleness ⇒ bit-identical to the
     synchronous FederatedSimulation."""
 
-    @pytest.mark.parametrize("algorithm", ["fedavg", "taco"])
+    @pytest.mark.parametrize("algorithm", algorithm_names())
     def test_bit_identical_to_sync(self, algorithm):
-        population, rounds, seed = 8, 4, 0
-
-        def registry():
-            return ClientRegistry(
-                population=population, seed=seed, samples_per_client=16, batch_size=8
-            )
-
-        def strategy():
-            return make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=rounds)
-
-        async_reg = registry()
-        coordinator = AsyncCoordinator(
-            registry=async_reg,
-            strategy=strategy(),
-            test_set=async_reg.test_set(60),
-            cohort_size=population,
-            buffer_size=population,
-            participation=FullParticipation(),
-            seed=seed,
-            model=async_reg.make_model(width_multiplier=0.5),
+        rounds = 4
+        coordinator, async_result, sync_result = run_both_engines(
+            lambda: make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=rounds),
+            rounds=rounds,
         )
-        async_result = coordinator.run(rounds)
-
-        sync_reg = registry()
-        simulation = FederatedSimulation(
-            model=sync_reg.make_model(width_multiplier=0.5),
-            clients=[sync_reg.materialize(cid) for cid in sync_reg.ids()],
-            strategy=strategy(),
-            test_set=sync_reg.test_set(60),
-            participation=FullParticipation(),
-            seed=seed,
-        )
-        sync_result = simulation.run(rounds)
 
         assert async_result.final_params.tobytes() == sync_result.final_params.tobytes()
         assert async_result.final_accuracy == sync_result.final_accuracy
         assert all(not f.staleness or max(f.staleness.values()) == 0
                    for f in coordinator.flush_log)
         assert all(w == 1.0 for f in coordinator.flush_log for w in f.weights.values())
+
+    @pytest.mark.parametrize("defence", [None, "median"])
+    def test_expulsions_match_sync(self, defence):
+        """TACO's expulsions reach the async history, also under a defence
+        wrapper that forwards them from the base algorithm."""
+
+        def make():
+            taco = make_strategy(
+                "taco", local_lr=0.05, local_steps=2, kappa=0.6, expulsion_limit=1
+            )
+            if defence is None:
+                return taco
+            aggregator = make_strategy(defence, local_lr=0.05, local_steps=2)
+            return AggregationDefence(taco, aggregator)
+
+        _, async_result, sync_result = run_both_engines(make, rounds=6)
+
+        assert sync_result.history.expelled_clients  # the scenario expels someone
+        assert async_result.history.expelled_clients == sync_result.history.expelled_clients
+        assert async_result.final_params.tobytes() == sync_result.final_params.tobytes()
 
 
 class TestStaleness:
@@ -189,32 +215,41 @@ class TestDegradation:
             coordinator.run(2)
 
 
+def assert_million_clients_in_budget(algorithm):
+    """Peak traced memory at 1M clients: absolute budget AND within 2x of
+    the identical 1k-client run."""
+
+    def measured_run(population):
+        config = FederateConfig(
+            algorithm=algorithm,
+            population=population,
+            cohort_size=20,
+            buffer_size=10,
+            rounds=5,
+            local_steps=2,
+            samples_per_client=16,
+            batch_size=8,
+            test_size=80,
+            width_multiplier=0.5,
+        )
+        tracemalloc.start()
+        try:
+            run_federation(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    small_peak = measured_run(1_000)
+    large_peak = measured_run(1_000_000)
+    assert large_peak < 64 * 1024 * 1024  # absolute: 64 MB
+    assert large_peak <= 2.0 * small_peak
+
+
 class TestMemoryContract:
     def test_million_client_registry_stays_in_budget(self):
-        """Peak traced memory at 1M clients: absolute budget AND within
-        2x of the identical 1k-client run."""
+        assert_million_clients_in_budget("fedavg")
 
-        def measured_run(population):
-            config = FederateConfig(
-                population=population,
-                cohort_size=20,
-                buffer_size=10,
-                rounds=5,
-                local_steps=2,
-                samples_per_client=16,
-                batch_size=8,
-                test_size=80,
-                width_multiplier=0.5,
-            )
-            tracemalloc.start()
-            try:
-                run_federation(config)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            return peak
-
-        small_peak = measured_run(1_000)
-        large_peak = measured_run(1_000_000)
-        assert large_peak < 64 * 1024 * 1024  # absolute: 64 MB
-        assert large_peak <= 2.0 * small_peak
+    def test_million_client_taco_registry_stays_in_budget(self):
+        """TACO's expulsion filter keeps the registry's ``range`` lazy."""
+        assert_million_clients_in_budget("taco")

@@ -41,10 +41,9 @@ class ExpellingStrategy(FedAvg):
     def post_round(self, state, updates):
         self._expelled = True
 
-    def active_clients(self, state, all_clients):
-        if self._expelled:
-            return [cid for cid in all_clients if cid != 0]
-        return list(all_clients)
+    @property
+    def expelled(self):
+        return frozenset({0}) if self._expelled else frozenset()
 
 
 class TestDivergenceHandling:
