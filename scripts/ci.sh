@@ -177,6 +177,38 @@ assert out["diverged"], "unguarded chaos run should have diverged"
 print("unguarded control ok: diverged as expected")
 '
 
+echo "==> kill-and-resume smoke (straight run == checkpoint at N/2 + --resume, both engines)"
+RESUME_OUT=out/resume-smoke
+rm -rf "$RESUME_OUT"
+mkdir -p "$RESUME_OUT"
+RUN_ARGS=(run --dataset adult --algorithm taco --clients 6 --train-size 200 --test-size 80 --json)
+FEDERATE_ARGS=(federate --smoke --json)
+for engine in run federate; do
+    if [ "$engine" = run ]; then args=("${RUN_ARGS[@]}"); else args=("${FEDERATE_ARGS[@]}"); fi
+    python -m repro.cli "${args[@]}" --rounds 4 > "$RESUME_OUT/$engine-straight.json"
+    python -m repro.cli "${args[@]}" --rounds 2 --checkpoint-every 2 \
+        --checkpoint-dir "$RESUME_OUT/$engine-ckpt" > /dev/null
+    python -m repro.cli "${args[@]}" --rounds 4 --checkpoint-dir "$RESUME_OUT/$engine-ckpt" \
+        --resume > "$RESUME_OUT/$engine-resumed.json"
+done
+python - "$RESUME_OUT" <<'PY'
+import json, os, sys
+
+root = sys.argv[1]
+for engine in ("run", "federate"):
+    outputs = []
+    for name in ("straight", "resumed"):
+        with open(f"{root}/{engine}-{name}.json") as handle:
+            out = json.load(handle)
+        out.pop("elapsed_seconds")
+        outputs.append(out)
+    straight, resumed = outputs
+    assert resumed == straight, f"{engine}: resumed run differs:\n{resumed}\n{straight}"
+    files = os.listdir(f"{root}/{engine}-ckpt")
+    assert files == ["checkpoint.npz"], f"{engine}: checkpoint dir holds {files}"
+    print(f"resume smoke ok ({engine}): 2 + 2 rounds == 4 rounds, one checkpoint file")
+PY
+
 echo "==> fault-tolerance experiment smoke"
 python -m pytest -q benchmarks/test_fault_tolerance.py --benchmark-disable
 

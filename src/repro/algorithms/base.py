@@ -161,6 +161,15 @@ class Strategy:
         """Clients barred from training (TACO expels freeloaders)."""
         return frozenset()
 
+    @property
+    def last_alphas(self) -> Dict[int, float]:
+        """The latest round's per-client alpha_i^t (TACO and its hybrids).
+
+        Both engines record it in every ``RoundRecord``; strategies without
+        tailored coefficients have none.
+        """
+        return {}
+
     def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> Sequence[int]:
         """``all_clients`` without :attr:`expelled`, in order.
 

@@ -83,6 +83,12 @@ class FedDyn(Strategy):
     def reset(self) -> None:
         self._h = {}
 
+    def state_dict(self) -> Dict[str, Any]:
+        return {"h": dict(self._h)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self._h = {int(cid): h for cid, h in state["h"].items()}
+
     def broadcast(self, state: ServerState) -> Dict[str, Any]:
         return {"anchor": state.global_params}
 
@@ -136,6 +142,14 @@ class FedMoS(Strategy):
     def reset(self) -> None:
         self._client_velocity = {}
         self._server_velocity = None
+
+    def state_dict(self) -> Dict[str, Any]:
+        # Client velocities restart at local step 0 of every round, so only
+        # the server momentum crosses a round boundary.
+        return {"server_velocity": self._server_velocity}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self._server_velocity = state["server_velocity"]
 
     def local_direction(
         self,

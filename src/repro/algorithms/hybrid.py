@@ -47,7 +47,46 @@ def _tailored_scales(alphas: Mapping[int, float]) -> Dict[int, float]:
     return {cid: c / mean for cid, c in corrections.items()}
 
 
-class TailoredFedProx(FedProx):
+class _Tailored:
+    """The hybrids' shared bookkeeping: each round's Eq. 7 alphas become the
+    next round's per-client scales.  Mixed in before the original method,
+    so every hook extends (never replaces) FedProx's or Scaffold's."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._scales: Dict[int, float] = {}
+        self._last_alphas: Dict[int, float] = {}
+
+    @property
+    def last_alphas(self) -> Dict[int, float]:
+        return self._last_alphas
+
+    def reset(self) -> None:
+        super().reset()
+        self._scales = {}
+        self._last_alphas = {}
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {
+            **super().state_dict(),
+            "scales": dict(self._scales),
+            "last_alphas": dict(self._last_alphas),
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._scales = {int(k): float(v) for k, v in state["scales"].items()}
+        self._last_alphas = {int(k): float(v) for k, v in state["last_alphas"].items()}
+
+    def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
+        super().post_round(state, updates)
+        alphas = TACO.compute_alphas(updates)
+        self._last_alphas = dict(alphas)
+        self._scales = _tailored_scales(alphas)
+        _publish_tailored_alphas(self._last_alphas)
+
+
+class TailoredFedProx(_Tailored, FedProx):
     """FedProx with per-client zeta_i^t = zeta * (1 - alpha_i^t) / mean(1 - alpha).
 
     The mean-normalisation keeps the average proximal strength at the
@@ -57,26 +96,11 @@ class TailoredFedProx(FedProx):
 
     name = "taco-prox"
 
-    def __init__(self, local_lr: float = 0.01, local_steps: int = 10, zeta: float = 0.1) -> None:
-        super().__init__(local_lr, local_steps, zeta)
-        self._scales: Dict[int, float] = {}
-        self.last_alphas: Dict[int, float] = {}
-
-    def reset(self) -> None:
-        self._scales = {}
-        self.last_alphas = {}
-
     def per_client_zeta(self, client_id: int, state: ServerState) -> float:
         return self.zeta * self._scales.get(client_id, 1.0)
 
-    def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
-        alphas = TACO.compute_alphas(updates)
-        self.last_alphas = dict(alphas)
-        self._scales = _tailored_scales(alphas)
-        _publish_tailored_alphas(self.last_alphas)
 
-
-class TailoredScaffold(Scaffold):
+class TailoredScaffold(_Tailored, Scaffold):
     """Scaffold with a bounded, tailored control-variate scale.
 
     The uniform alpha = 1 is replaced by
@@ -102,20 +126,6 @@ class TailoredScaffold(Scaffold):
         if not 0.0 < budget <= 1.0:
             raise ValueError(f"budget must be in (0, 1], got {budget}")
         self.budget = budget
-        self._scales: Dict[int, float] = {}
-        self.last_alphas: Dict[int, float] = {}
-
-    def reset(self) -> None:
-        super().reset()
-        self._scales = {}
-        self.last_alphas = {}
 
     def correction_scale(self, client_id: int, payload: Dict[str, Any]) -> float:
         return self.budget * self._scales.get(client_id, 1.0)
-
-    def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
-        super().post_round(state, updates)
-        alphas = TACO.compute_alphas(updates)
-        self.last_alphas = dict(alphas)
-        self._scales = _tailored_scales(alphas)
-        _publish_tailored_alphas(self.last_alphas)

@@ -81,14 +81,14 @@ class TACO(Strategy):
         self._alpha_memory: Dict[int, float] = {}
         self._strikes: Dict[int, int] = {}
         self._expelled: set[int] = set()
-        self.last_alphas: Dict[int, float] = {}
+        self._last_alphas: Dict[int, float] = {}
 
     def reset(self) -> None:
         self._alphas = {}
         self._alpha_memory = {}
         self._strikes = {}
         self._expelled = set()
-        self.last_alphas = {}
+        self._last_alphas = {}
 
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -96,7 +96,7 @@ class TACO(Strategy):
             "alpha_memory": dict(self._alpha_memory),
             "strikes": dict(self._strikes),
             "expelled": set(self._expelled),
-            "last_alphas": dict(self.last_alphas),
+            "last_alphas": dict(self._last_alphas),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
@@ -106,7 +106,7 @@ class TACO(Strategy):
         }
         self._strikes = {int(k): int(v) for k, v in state.get("strikes", {}).items()}
         self._expelled = {int(cid) for cid in state.get("expelled", set())}
-        self.last_alphas = {
+        self._last_alphas = {
             int(k): float(v) for k, v in state.get("last_alphas", {}).items()
         }
 
@@ -196,7 +196,7 @@ class TACO(Strategy):
             raise ValueError("cannot aggregate zero updates")
         self._alphas = dict(self.compute_alphas(updates))
         self._alpha_memory.update(self._alphas)
-        self.last_alphas = dict(self._alphas)
+        self._last_alphas = dict(self._alphas)
         telemetry = get_telemetry()
         if telemetry.enabled:
             for client_id, alpha in self._alphas.items():
@@ -274,6 +274,10 @@ class TACO(Strategy):
     @property
     def expelled(self) -> frozenset[int]:
         return frozenset(self._expelled)
+
+    @property
+    def last_alphas(self) -> Dict[int, float]:
+        return self._last_alphas
 
     @property
     def strikes(self) -> Dict[int, int]:

@@ -9,7 +9,6 @@ on a deterministic virtual-time event loop.
 """
 
 from .coordinator import AsyncCoordinator, FlushEvent, PendingUpload
-from .persist import load_coordinator, save_coordinator
 from .registry import (
     SPEED_TIERS,
     ClientDescriptor,
@@ -37,12 +36,10 @@ __all__ = [
     "SMOKE_CONFIG",
     "SPEED_TIERS",
     "build_coordinator",
-    "load_coordinator",
     "make_arrival_trace",
     "make_degradation",
     "make_network",
     "make_scheme",
     "run_federation",
-    "save_coordinator",
     "stable_seed",
 ]

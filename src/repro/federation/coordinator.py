@@ -64,13 +64,14 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..algorithms.base import Strategy
 from ..data.dataset import TensorDataset
+from ..fl import checkpoint
 from ..fl.degradation import (
     REASON_LATE,
     REASON_LOST,
@@ -82,7 +83,7 @@ from ..fl.history import RoundRecord, TrainingHistory
 from ..fl.metrics import evaluate
 from ..fl.sampling import ParticipationScheme, ReservoirSampling
 from ..fl.server import Server
-from ..fl.simulation import SimulationResult
+from ..fl.simulation import SimulationResult, finish_run
 from ..fl.state import ClientUpdate
 from ..fl.timing import CostModel
 from ..introspect import get_introspector
@@ -704,7 +705,7 @@ class AsyncCoordinator:
         # losses drop (all empty on the perfect-wire path).
         quarantined.update(self._quarantined_since_flush)
 
-        alphas = {} if skipped else dict(getattr(self.strategy, "last_alphas", {}) or {})
+        alphas = {} if skipped else dict(self.strategy.last_alphas)
         record = RoundRecord(
             round=round_index,
             test_accuracy=accuracy,
@@ -780,11 +781,9 @@ class AsyncCoordinator:
 
         ``checkpoint_every``/``checkpoint_dir``/``resume_from`` persist and
         restore the full coordinator state at flush boundaries via
-        :mod:`repro.federation.persist`, bit-exact with an uninterrupted
-        run.  ``record_path`` writes a runrecord.json at the end.
+        :mod:`repro.fl.checkpoint`, bit-exact with an uninterrupted run.
+        ``record_path`` writes a runrecord.json at the end.
         """
-        from . import persist  # deferred; persist imports this module's types
-
         if rounds <= 0:
             raise ValueError(f"rounds must be positive, got {rounds}")
         if checkpoint_every < 0:
@@ -793,7 +792,7 @@ class AsyncCoordinator:
             raise ValueError("checkpoint_every requires checkpoint_dir")
 
         if resume_from is not None:
-            completed = persist.load_coordinator(self, resume_from)
+            completed = checkpoint.load_simulation(self, resume_from)
             if completed > rounds:
                 raise ValueError(
                     f"checkpoint already has {completed} rounds, cannot run to {rounds}"
@@ -857,42 +856,11 @@ class AsyncCoordinator:
                     and checkpoint_dir is not None
                     and self.server.state.round % checkpoint_every == 0
                 ):
-                    persist.save_coordinator(self, checkpoint_dir)
+                    checkpoint.save_simulation(self, checkpoint_dir)
 
-        final_params = self.server.state.global_params.copy()
-        self._refresh_final_metrics(final_params, diverged)
-        output_params = self.strategy.final_output(self.server.state).copy()
-        self.model.load_vector(final_params)
-        final_accuracy = self.history.final_accuracy if len(self.history) else 0.0
-        if np.isfinite(output_params).all():
-            self.model.load_vector(output_params)
-            output_accuracy, _ = evaluate(self.model, self.test_set)
-        else:
-            output_accuracy = 0.0
-        self.model.load_vector(final_params)
-        introspector = get_introspector()
-        result = SimulationResult(
-            history=self.history,
-            final_params=final_params,
-            output_params=output_params,
-            final_accuracy=final_accuracy,
-            output_accuracy=output_accuracy,
-            diverged=diverged,
-            elapsed_seconds=time.perf_counter() - run_started,
-            diagnostics=list(introspector.records) if introspector.enabled else [],
+        return finish_run(
+            self, run_started, diverged, record_path, serving_summary=self.serving_summary
         )
-        if record_path is not None:
-            from ..runrecord import build_run_record, write_run_record
-
-            write_run_record(
-                build_run_record(
-                    result,
-                    algorithm=getattr(self.strategy, "name", "unknown"),
-                    serving=self.serving_summary(),
-                ),
-                record_path,
-            )
-        return result
 
     def serving_summary(self) -> Optional[Dict[str, Any]]:
         """Virtual-time delivery-trace summary, or None when tracing is off."""
@@ -900,20 +868,112 @@ class AsyncCoordinator:
             return None
         return self.delivery_recorder.summary()
 
-    def _refresh_final_metrics(self, final_params: np.ndarray, diverged: bool) -> None:
-        """Force a final evaluation when ``eval_every`` skipped the last flush."""
-        if diverged or not len(self.history):
-            return
-        last = self.history.records[-1]
-        if last.round == self._last_evaluated_round:
-            return
-        if not np.isfinite(final_params).all():
-            return
-        self.model.load_vector(final_params)
-        accuracy, loss = evaluate(self.model, self.test_set)
-        last.test_accuracy = accuracy
-        last.test_loss = loss
-        self._last_evaluated_round = last.round
+    # ------------------------------------------------------------------
+    # Checkpointing (the on-disk format lives in repro.fl.checkpoint)
+    # ------------------------------------------------------------------
+    def fingerprint(self) -> Dict[str, Any]:
+        """Engine-specific configuration a checkpoint must match on resume.
+
+        Resuming under a different network plan would silently replay a
+        different chaos pattern.
+        """
+        return {
+            "population": len(self.registry),
+            "network_plan": (
+                asdict(self.network) if self.network is not None else None
+            ),
+        }
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The event loop at a flush boundary.
+
+        Every in-flight event is stored *including its computed update*, so
+        local work done before the checkpoint is never re-executed.  Payloads
+        exist only on events that carry one (duplicate copies and lease
+        events do not), so each update is stored once.  The slot pool is
+        stored explicitly: a client whose upload was flushed may still have
+        a duplicate copy or a lease event in the heap without holding a slot.
+        """
+        return {
+            "rng": self.rng.bit_generator.state,
+            "client_rngs": dict(self.registry._rng_states),
+            "clock": self._clock,
+            "seq": self._seq,
+            "last_flush_clock": self._last_flush_clock,
+            "cumulative_sim_time": self._cumulative_sim_time,
+            "last_evaluated_round": self._last_evaluated_round,
+            # Heap entries in heap-array order, so the restored list is
+            # already a valid heap.
+            "events": {
+                index: {"seq": seq, **_pending_state(pending)}
+                for index, (_, seq, pending) in enumerate(self._events)
+            },
+            "buffer": {index: _pending_state(p) for index, p in enumerate(self._buffer)},
+            "pending_ids": set(self._pending_ids),
+            "abandoned_since_flush": list(self._abandoned_since_flush),
+            "expelled_seen": set(self._expelled_seen),
+            "delivery_seq": self._delivery_seq,
+            "delivered": set(self._delivered),
+            "revoked": set(self._revoked),
+            "trace_pos": self._trace_pos,
+            "quarantined_since_flush": dict(self._quarantined_since_flush),
+            "dropped_since_flush": list(self._dropped_since_flush),
+            "retried_since_flush": dict(self._retried_since_flush),
+            "duplicated_since_flush": list(self._duplicated_since_flush),
+            "deliveries_since_flush": dict(self._deliveries_since_flush),
+            "uplink_bytes_since_flush": self._uplink_bytes_since_flush,
+            "downlink_bytes_since_flush": self._downlink_bytes_since_flush,
+            "flush_log": [asdict(event) for event in self.flush_log],
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` (keys of nested dicts come back as str)."""
+        self.rng.bit_generator.state = state["rng"]
+        self.registry.reset()
+        self.registry._rng_states.update(
+            {int(cid): rng_state for cid, rng_state in state["client_rngs"].items()}
+        )
+        self._clock = float(state["clock"])
+        self._seq = int(state["seq"])
+        self._last_flush_clock = float(state["last_flush_clock"])
+        self._cumulative_sim_time = float(state["cumulative_sim_time"])
+        self._last_evaluated_round = int(state["last_evaluated_round"])
+        self._events = [
+            (float(entry["arrival_time"]), int(entry["seq"]), _pending_from_state(entry))
+            for entry in _in_index_order(state["events"])
+        ]
+        self._buffer = [_pending_from_state(entry) for entry in _in_index_order(state["buffer"])]
+        self._pending_ids = {int(cid) for cid in state["pending_ids"]}
+        self._abandoned_since_flush = [int(c) for c in state["abandoned_since_flush"]]
+        self._expelled_seen = {int(c) for c in state["expelled_seen"]}
+        self._delivery_seq = int(state["delivery_seq"])
+        self._delivered = {int(d) for d in state["delivered"]}
+        self._revoked = {int(d) for d in state["revoked"]}
+        self._trace_pos = int(state["trace_pos"])
+        self._quarantined_since_flush = {
+            int(cid): str(reason) for cid, reason in state["quarantined_since_flush"].items()
+        }
+        self._dropped_since_flush = [int(c) for c in state["dropped_since_flush"]]
+        self._retried_since_flush = {
+            int(cid): int(count) for cid, count in state["retried_since_flush"].items()
+        }
+        self._duplicated_since_flush = [int(c) for c in state["duplicated_since_flush"]]
+        self._deliveries_since_flush = {
+            str(key): int(count) for key, count in state["deliveries_since_flush"].items()
+        }
+        self._uplink_bytes_since_flush = int(state["uplink_bytes_since_flush"])
+        self._downlink_bytes_since_flush = int(state["downlink_bytes_since_flush"])
+        self.flush_log = [
+            FlushEvent(
+                version=int(item["version"]),
+                virtual_time=float(item["virtual_time"]),
+                arrivals=[int(c) for c in item["arrivals"]],
+                staleness={int(k): int(v) for k, v in item["staleness"].items()},
+                weights={int(k): float(v) for k, v in item["weights"].items()},
+                stale_dropped=[int(c) for c in item["stale_dropped"]],
+            )
+            for item in state["flush_log"]
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -925,3 +985,59 @@ class AsyncCoordinator:
     def in_flight(self) -> int:
         """Clients currently dispatched or buffered."""
         return len(self._pending_ids)
+
+
+def _pending_state(pending: PendingUpload) -> Dict[str, Any]:
+    """Checkpoint view of one event (its serving trace handle is not kept)."""
+    update = pending.update
+    return {
+        "client_id": pending.client_id,
+        "dispatch_version": pending.dispatch_version,
+        "dispatch_time": pending.dispatch_time,
+        "arrival_time": pending.arrival_time,
+        "delivery_id": pending.delivery_id,
+        "kind": pending.kind,
+        "attempts": pending.attempts,
+        "duplicate": pending.duplicate,
+        "lost": pending.lost,
+        "update": None if update is None else {
+            "delta": update.delta,
+            "num_samples": update.num_samples,
+            "num_steps": update.num_steps,
+            "sim_time": update.sim_time,
+            "wall_time": update.wall_time,
+            "extras": update.extras,
+        },
+    }
+
+
+def _pending_from_state(state: Dict[str, Any]) -> PendingUpload:
+    client_id = int(state["client_id"])
+    update = state["update"]
+    if update is not None:
+        update = ClientUpdate(
+            client_id=client_id,
+            delta=update["delta"],
+            num_samples=int(update["num_samples"]),
+            num_steps=int(update["num_steps"]),
+            sim_time=float(update["sim_time"]),
+            wall_time=float(update["wall_time"]),
+            extras=update["extras"],
+        )
+    return PendingUpload(
+        client_id=client_id,
+        dispatch_version=int(state["dispatch_version"]),
+        dispatch_time=float(state["dispatch_time"]),
+        arrival_time=float(state["arrival_time"]),
+        update=update,
+        delivery_id=int(state["delivery_id"]),
+        kind=str(state["kind"]),
+        attempts=int(state["attempts"]),
+        duplicate=bool(state["duplicate"]),
+        lost=bool(state["lost"]),
+    )
+
+
+def _in_index_order(entries: Dict[str, Any]) -> List[Any]:
+    """Values of a ``{index: value}`` dict read back from a checkpoint."""
+    return [entries[key] for key in sorted(entries, key=int)]

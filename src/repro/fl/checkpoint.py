@@ -1,23 +1,32 @@
 """Checkpointing: persist and restore models and training runs.
 
 Long federated runs (the paper's T = 200, K = 1000 settings) need restart
-capability.  Checkpoints are plain ``.npz`` archives (model parameters +
-buffers) and ``.json`` metadata (round, history), so they stay portable and
-diff-able.
+capability.  :func:`save_model` writes a model's parameters and buffers as
+an ``.npz`` archive and :func:`save_history` a training history as JSON.
 
-:func:`save_simulation` / :func:`load_simulation` extend this to the whole
-run: server state, strategy state (control variates, momenta, TACO alphas
-and strikes), every RNG stream (participation, per-client mini-batch
-samplers, transport), the transport traffic log and the training history —
-everything required for a killed run to resume **bit-exact** at the next
-round boundary.
+:func:`save_simulation` / :func:`load_simulation` checkpoint a whole run of
+either engine (:class:`~repro.fl.simulation.FederatedSimulation` or
+:class:`~repro.federation.coordinator.AsyncCoordinator`) as one file,
+``checkpoint.npz``.  It holds every array of the run plus one JSON document
+stored as a ``uint8`` member: the server vectors, the model state,
+``Strategy.state_dict()``, the history, the engine's own ``state_dict()``
+(RNG streams, event loop, guard), the format version and a fingerprint of
+the run's configuration.  Everything required for a killed run to resume
+**bit-exact** at the next round boundary is in that one file.
+
+The file is written to a temp file beside it, fsynced and published with
+``os.replace``, so a crash during a save leaves the previous checkpoint
+intact.  A resume into a differently configured run is refused with an
+error naming every differing field.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -41,10 +50,8 @@ def load_model(model: Module, path: str | Path) -> Module:
     return model
 
 
-def save_history(history: TrainingHistory, path: str | Path) -> None:
-    """Persist a :class:`TrainingHistory` as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _history_payload(history: TrainingHistory) -> Dict[str, Any]:
+    """The JSON encoding of a history (shared by files and checkpoints)."""
     records = []
     for record in history.records:
         records.append(
@@ -85,12 +92,11 @@ def save_history(history: TrainingHistory, path: str | Path) -> None:
         }
         for event in history.recoveries
     ]
-    path.write_text(json.dumps({"records": records, "recoveries": recoveries}, indent=2))
+    return {"records": records, "recoveries": recoveries}
 
 
-def load_history(path: str | Path) -> TrainingHistory:
-    """Restore a history saved by :func:`save_history`."""
-    payload = json.loads(Path(path).read_text())
+def _history_from_payload(payload: Dict[str, Any]) -> TrainingHistory:
+    """Rebuild a history from :func:`_history_payload`'s encoding."""
     history = TrainingHistory()
     for item in payload["records"]:
         history.append(
@@ -140,27 +146,48 @@ def load_history(path: str | Path) -> TrainingHistory:
     return history
 
 
+def save_history(history: TrainingHistory, path: str | Path) -> None:
+    """Persist a :class:`TrainingHistory` as JSON."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(_history_payload(history), indent=2))
+
+
+def load_history(path: str | Path) -> TrainingHistory:
+    """Restore a history saved by :func:`save_history`."""
+    return _history_from_payload(json.loads(Path(path).read_text()))
+
+
 # ----------------------------------------------------------------------
-# Full-simulation checkpoints
+# Full-run checkpoints
 # ----------------------------------------------------------------------
+CHECKPOINT_FILE = "checkpoint.npz"
+
+#: Bumped when the layout of ``checkpoint.npz`` changes incompatibly.
+FORMAT_VERSION = 1
+
 #: Separator for flattened nested state paths; npz/zip member names accept it
 #: and it cannot collide with module-style "/" or "." key characters.
 _SEP = "|"
 
-ARRAYS_FILE = "arrays.npz"
-META_FILE = "meta.json"
-HISTORY_FILE = "history.json"
+#: The npz member holding the JSON document.  Every array member's name
+#: contains ``_SEP``, so this one cannot collide with them.
+_DOCUMENT = "document"
 
 
 def _flatten_state(
     value: Any, prefix: str, arrays: Dict[str, np.ndarray], scalars: Dict[str, Any]
 ) -> None:
-    """Split nested strategy state into npz-able arrays and JSON scalars."""
+    """Split nested state into npz-able arrays and JSON scalars.
+
+    Dicts are walked (an empty one is kept as a JSON ``{}``), sets become a
+    tagged sorted list, and everything else is a JSON value.
+    """
     if isinstance(value, np.ndarray):
         arrays[prefix] = value
     elif isinstance(value, (set, frozenset)):
         scalars[prefix] = {"__set__": sorted(value)}
-    elif isinstance(value, dict):
+    elif isinstance(value, dict) and value:
         for key, sub in value.items():
             _flatten_state(sub, f"{prefix}{_SEP}{key}", arrays, scalars)
     else:
@@ -168,7 +195,7 @@ def _flatten_state(
 
 
 def _unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
-    """Rebuild the nested dict produced by ``Strategy.state_dict``."""
+    """Rebuild the nested dict split by :func:`_flatten_state` (keys as str)."""
     nested: Dict[str, Any] = {}
     for path, value in flat.items():
         parts = path.split(_SEP)
@@ -181,207 +208,132 @@ def _unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
     return nested
 
 
-def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """The generator's JSON-serialisable bit-generator state."""
-    return rng.bit_generator.state
+def _fingerprint(engine) -> Dict[str, Any]:
+    """The run configuration a checkpoint may only be resumed into.
+
+    ``rounds`` is deliberately absent: resuming with more rounds extends a
+    run.  ``global_lr`` is the engine's configured rate, not the server's,
+    which the guard's backoff changes mid-run.
+    """
+    params = engine.server.state.global_params
+    fingerprint = {
+        "strategy": engine.strategy.name,
+        "local_lr": engine.strategy.local_lr,
+        "local_steps": engine.strategy.local_steps,
+        "global_lr": engine.global_lr,
+        "seed": engine.seed,
+        "param_dtype": str(params.dtype),
+        "param_count": int(params.size),
+        **engine.fingerprint(),
+    }
+    # JSON-normalised (tuples become lists, int keys str) so a fresh
+    # fingerprint compares equal to one read back from disk.
+    return json.loads(json.dumps(fingerprint))
 
 
-def _restore_rng(rng: np.random.Generator, state: Dict[str, Any]) -> None:
-    """Restore a generator to a previously captured bit-generator state."""
-    rng.bit_generator.state = state
+def _check_fingerprint(saved: Dict[str, Any], current: Dict[str, Any]) -> None:
+    differing = [
+        f"{key.replace('_', ' ')} (saved {saved.get(key)!r}, current {current.get(key)!r})"
+        for key in {**current, **saved}
+        if saved.get(key) != current.get(key)
+    ]
+    if differing:
+        raise ValueError(
+            "checkpoint was written by a differently configured run; resuming "
+            "would not reproduce it: " + "; ".join(differing)
+        )
 
 
-# Public aliases for other checkpointing layers (repro.federation.persist)
-# so they share one flattening/RNG-serialisation contract with this module.
-flatten_state = _flatten_state
-unflatten_state = _unflatten_state
-rng_state = _rng_state
-restore_rng = _restore_rng
-STATE_SEP = _SEP
+def _publish(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path`` atomically.
+
+    The archive goes to a temp file in the same directory, is flushed and
+    fsynced, replaces ``path`` in one ``os.replace``, and the directory is
+    fsynced so the rename itself is durable.  A failure at any step leaves
+    the previous file untouched and removes the temp file.
+    """
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    directory_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
 
 
-def save_simulation(simulation, directory: str | Path) -> Path:
-    """Checkpoint a :class:`~repro.fl.simulation.FederatedSimulation`.
+def save_simulation(engine, directory: str | Path) -> Path:
+    """Checkpoint either engine into ``directory/checkpoint.npz``.
 
-    Writes ``arrays.npz`` (server vectors, model buffers, strategy arrays,
-    transport byte log), ``meta.json`` (round counters, RNG streams,
-    strategy scalars) and ``history.json`` into ``directory``.  Safe to
-    call at any round boundary; later checkpoints overwrite earlier ones.
+    Safe to call at any round boundary (the async coordinator calls it at
+    flush boundaries); each save atomically replaces the previous one.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    state = simulation.server.state
-
-    arrays: Dict[str, np.ndarray] = {f"server{_SEP}global_params": state.global_params}
-    if state.prev_global_params is not None:
-        arrays[f"server{_SEP}prev_global_params"] = state.prev_global_params
-    if state.global_delta is not None:
-        arrays[f"server{_SEP}global_delta"] = state.global_delta
-    for key, value in simulation.model.state_dict().items():
-        arrays[f"model{_SEP}{key}"] = value
-
-    strategy_arrays: Dict[str, np.ndarray] = {}
-    strategy_scalars: Dict[str, Any] = {}
-    for key, value in simulation.strategy.state_dict().items():
-        _flatten_state(value, key, strategy_arrays, strategy_scalars)
-    for key, value in strategy_arrays.items():
-        arrays[f"strategy{_SEP}{key}"] = value
-
-    rng_states: Dict[str, Any] = {
-        "simulation": _rng_state(simulation.rng),
-        "clients": {
-            str(cid): _rng_state(client.sampler.rng)
-            for cid, client in simulation.clients.items()
+    state = engine.server.state
+    run_state = {
+        "server": {
+            "round": state.round,
+            "global_params": state.global_params,
+            "prev_global_params": state.prev_global_params,
+            "global_delta": state.global_delta,
         },
+        "model": engine.model.state_dict(),
+        "strategy": engine.strategy.state_dict(),
+        "engine": engine.state_dict(),
     }
-    if simulation.transport is not None:
-        rng_states["transport"] = _rng_state(simulation.transport.rng)
-        arrays[f"transport{_SEP}uplink_bytes_per_round"] = np.asarray(
-            simulation.transport.log.uplink_bytes_per_round, dtype=np.int64
-        )
-        arrays[f"transport{_SEP}downlink_bytes_per_round"] = np.asarray(
-            simulation.transport.log.downlink_bytes_per_round, dtype=np.int64
-        )
-
-    meta = {
-        "round": state.round,
-        "num_clients": state.num_clients,
-        "cumulative_sim_time": simulation._cumulative_sim_time,
-        "last_evaluated_round": simulation._last_evaluated_round,
-        "strategy_scalars": strategy_scalars,
-        "rng_states": rng_states,
+    arrays: Dict[str, np.ndarray] = {}
+    scalars: Dict[str, Any] = {}
+    for key, value in run_state.items():
+        _flatten_state(value, key, arrays, scalars)
+    document = {
+        "format": FORMAT_VERSION,
+        "fingerprint": _fingerprint(engine),
+        "scalars": scalars,
+        "history": _history_payload(engine.history),
     }
-
-    if getattr(simulation, "recovery", None) is not None:
-        # Guard state: the monitor's rolling windows plus the recovery
-        # controller's ladder position and snapshot ring buffer, so a
-        # checkpoint taken mid-recovery resumes bit-exactly.
-        recovery_state = simulation.recovery.state_dict()
-        recovery_state["snapshots"] = {
-            str(i): snap for i, snap in enumerate(recovery_state["snapshots"])
-        }
-        guard_arrays: Dict[str, np.ndarray] = {}
-        guard_scalars: Dict[str, Any] = {}
-        _flatten_state(recovery_state, "recovery", guard_arrays, guard_scalars)
-        _flatten_state(simulation.monitor.state_dict(), "monitor", guard_arrays, guard_scalars)
-        for key, value in guard_arrays.items():
-            arrays[f"guard{_SEP}{key}"] = value
-        meta["guard_scalars"] = guard_scalars
-
-    np.savez(directory / ARRAYS_FILE, **arrays)
-    (directory / META_FILE).write_text(json.dumps(meta, indent=2))
-    save_history(simulation.history, directory / HISTORY_FILE)
+    arrays[_DOCUMENT] = np.frombuffer(json.dumps(document).encode(), dtype=np.uint8)
+    _publish(directory / CHECKPOINT_FILE, arrays)
     return directory
 
 
-def load_simulation(simulation, directory: str | Path) -> int:
-    """Restore a checkpoint into ``simulation``; returns completed rounds.
+def load_simulation(engine, directory: str | Path) -> int:
+    """Restore a checkpoint into ``engine``; returns completed rounds.
 
-    The simulation must be constructed identically to the checkpointed one
-    (same clients, strategy type, seeds); everything mutable — server
-    vectors, model buffers, strategy state, RNG streams, transport log,
-    history — is overwritten so the next round replays exactly as it would
-    have in the uninterrupted run.
+    The engine must be configured like the checkpointed one (the stored
+    fingerprint is compared first); everything mutable is then overwritten
+    so the next round replays exactly as in the uninterrupted run.
     """
-    directory = Path(directory)
-    archive = np.load(directory / ARRAYS_FILE)
-    meta = json.loads((directory / META_FILE).read_text())
-    if meta["num_clients"] != len(simulation.clients):
+    path = Path(directory) / CHECKPOINT_FILE
+    with np.load(path) as archive:
+        flat: Dict[str, Any] = {key: archive[key] for key in archive.files}
+    document = json.loads(flat.pop(_DOCUMENT).tobytes())
+    if document["format"] != FORMAT_VERSION:
         raise ValueError(
-            f"checkpoint has {meta['num_clients']} clients, "
-            f"simulation has {len(simulation.clients)}"
+            f"{path} has checkpoint format {document['format']}, "
+            f"this version reads format {FORMAT_VERSION}"
         )
+    _check_fingerprint(document["fingerprint"], _fingerprint(engine))
+    flat.update(document["scalars"])
+    run_state = _unflatten_state(flat)
 
-    prefixed: Dict[str, Dict[str, np.ndarray]] = {
-        "server": {},
-        "model": {},
-        "strategy": {},
-        "transport": {},
-        "guard": {},
-    }
-    for key in archive.files:
-        group, rest = key.split(_SEP, 1)
-        prefixed[group][rest] = archive[key]
-
-    state = simulation.server.state
-    state.global_params = prefixed["server"]["global_params"].copy()
-    state.prev_global_params = (
-        prefixed["server"]["prev_global_params"].copy()
-        if "prev_global_params" in prefixed["server"]
-        else None
-    )
-    state.global_delta = (
-        prefixed["server"]["global_delta"].copy()
-        if "global_delta" in prefixed["server"]
-        else None
-    )
-    state.round = int(meta["round"])
-
-    if prefixed["model"]:
-        simulation.model.load_state_dict(prefixed["model"])
-
-    simulation.strategy.reset()
-    flat: Dict[str, Any] = dict(prefixed["strategy"])
-    flat.update(meta["strategy_scalars"])
-    simulation.strategy.load_state_dict(_unflatten_state(flat))
-
-    _restore_rng(simulation.rng, meta["rng_states"]["simulation"])
-    for cid_str, rng_state in meta["rng_states"]["clients"].items():
-        cid = int(cid_str)
-        if cid not in simulation.clients:
-            raise ValueError(f"checkpoint references unknown client {cid}")
-        _restore_rng(simulation.clients[cid].sampler.rng, rng_state)
-
-    if simulation.transport is not None and "transport" in meta["rng_states"]:
-        _restore_rng(simulation.transport.rng, meta["rng_states"]["transport"])
-        transport_arrays = prefixed["transport"]
-        # Older checkpoints stored only the (uplink) "bytes_per_round" array.
-        uplink_key = (
-            "uplink_bytes_per_round"
-            if "uplink_bytes_per_round" in transport_arrays
-            else "bytes_per_round"
-        )
-        simulation.transport.log.uplink_bytes_per_round = [
-            int(b) for b in transport_arrays.get(uplink_key, [])
-        ]
-        simulation.transport.log.downlink_bytes_per_round = [
-            int(b) for b in transport_arrays.get("downlink_bytes_per_round", [])
-        ]
-
-    simulation.history = load_history(directory / HISTORY_FILE)
-    simulation._cumulative_sim_time = float(meta["cumulative_sim_time"])
-    simulation._last_evaluated_round = int(meta["last_evaluated_round"])
-
-    if getattr(simulation, "recovery", None) is not None:
-        if "guard_scalars" in meta:
-            flat: Dict[str, Any] = dict(prefixed["guard"])
-            flat.update(meta["guard_scalars"])
-            guard_state = _unflatten_state(flat)
-            recovery_state = guard_state.get("recovery", {})
-            snapshots = recovery_state.get("snapshots", {}) or {}
-            recovery_state["snapshots"] = [
-                snapshots[key] for key in sorted(snapshots, key=int)
-            ]
-            simulation.recovery.load_state_dict(recovery_state)
-            simulation.monitor.load_state_dict(guard_state.get("monitor", {}))
-            # Re-derive the mutated run knobs from the restored ladder
-            # position: the backed-off server lr and, if recovery had
-            # already escalated that far, the tightened quarantine.
-            simulation.server.global_lr = (
-                simulation.recovery.base_global_lr * simulation.recovery.lr_scale
-            )
-            if simulation.recovery.tightened:
-                simulation.recovery.tightened = False
-                simulation.recovery._tighten_quarantine(simulation)
-        else:
-            # Checkpoint written without a guard: treat the restored state
-            # as the known-good baseline and start the ladder fresh.
-            simulation.recovery.prime(simulation)
-
+    server = run_state["server"]
+    state = engine.server.state
+    state.round = int(server["round"])
+    state.global_params = server["global_params"]
+    state.prev_global_params = server["prev_global_params"]
+    state.global_delta = server["global_delta"]
+    engine.model.load_state_dict(run_state["model"])
+    engine.strategy.reset()
+    engine.strategy.load_state_dict(run_state["strategy"])
+    engine.history = _history_from_payload(document["history"])
+    # Last: the guard's state restore reads the restored server and history.
+    engine.load_state_dict(run_state["engine"])
     return state.round
-
-
-def checkpoint_files(directory: str | Path) -> Tuple[Path, Path, Path]:
-    """The (arrays, meta, history) paths of a simulation checkpoint."""
-    directory = Path(directory)
-    return directory / ARRAYS_FILE, directory / META_FILE, directory / HISTORY_FILE

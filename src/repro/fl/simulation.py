@@ -26,9 +26,9 @@ and restart bit-exact with ``resume_from=...``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +138,7 @@ class FederatedSimulation:
         self.participation = participation or FullParticipation()
         self.transport = transport
         self.eval_every = max(1, eval_every)
+        self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
 
         if fault_plan is not None:
@@ -249,36 +250,7 @@ class FederatedSimulation:
             ):
                 checkpoint.save_simulation(self, checkpoint_dir)
 
-        final_params = self.server.state.global_params.copy()
-        self._refresh_final_metrics(final_params, diverged)
-        output_params = self.strategy.final_output(self.server.state).copy()
-        self.model.load_vector(final_params)
-        final_accuracy = self.history.final_accuracy if len(self.history) else 0.0
-        if np.isfinite(output_params).all():
-            self.model.load_vector(output_params)
-            output_accuracy, _ = evaluate(self.model, self.test_set)
-        else:
-            output_accuracy = 0.0
-        self.model.load_vector(final_params)
-        introspector = get_introspector()
-        result = SimulationResult(
-            history=self.history,
-            final_params=final_params,
-            output_params=output_params,
-            final_accuracy=final_accuracy,
-            output_accuracy=output_accuracy,
-            diverged=diverged,
-            elapsed_seconds=time.perf_counter() - run_started,
-            diagnostics=list(introspector.records) if introspector.enabled else [],
-        )
-        if record_path is not None:
-            from ..runrecord import build_run_record, write_run_record
-
-            write_run_record(
-                build_run_record(result, algorithm=getattr(self.strategy, "name", "unknown")),
-                record_path,
-            )
-        return result
+        return finish_run(self, run_started, diverged, record_path)
 
     def _guard_intervene(self, record: RoundRecord) -> str:
         """Run the round through the guard; returns the action taken."""
@@ -296,26 +268,85 @@ class FederatedSimulation:
             self, record, critical + self._round_upload_anomalies
         )
 
-    def _refresh_final_metrics(self, final_params: np.ndarray, diverged: bool) -> None:
-        """Force a final evaluation when ``eval_every`` skipped the last round.
+    # ------------------------------------------------------------------
+    # Checkpointing (the on-disk format lives in repro.fl.checkpoint)
+    # ------------------------------------------------------------------
+    def fingerprint(self) -> Dict[str, Any]:
+        """Engine-specific configuration a checkpoint must match on resume."""
+        plan = self.fault_injector.plan if self.fault_injector is not None else None
+        return {
+            "num_clients": len(self.clients),
+            "fault_plan": asdict(plan) if plan is not None else None,
+        }
 
-        Without this, a run whose last round fell between evaluation points
-        would report the *previous* evaluation's accuracy as its final one.
-        The stale record is fixed up in place so history and
-        ``SimulationResult.final_accuracy`` agree.
+    def state_dict(self) -> Dict[str, Any]:
+        """Mutable run state beyond server, model, strategy and history.
+
+        Every RNG stream (participation, per-client mini-batch samplers,
+        transport), the transport byte log, the round counters and, with a
+        guard, the monitor's rolling windows plus the recovery controller's
+        ladder position and snapshot ring buffer, so a checkpoint taken
+        mid-recovery resumes bit-exactly.
         """
-        if diverged or not len(self.history):
+        state: Dict[str, Any] = {
+            "rng": self.rng.bit_generator.state,
+            "client_rngs": {
+                cid: client.sampler.rng.bit_generator.state
+                for cid, client in self.clients.items()
+            },
+            "cumulative_sim_time": self._cumulative_sim_time,
+            "last_evaluated_round": self._last_evaluated_round,
+        }
+        if self.transport is not None:
+            log = self.transport.log
+            state["transport"] = {
+                "rng": self.transport.rng.bit_generator.state,
+                "uplink_bytes_per_round": np.asarray(log.uplink_bytes_per_round, dtype=np.int64),
+                "downlink_bytes_per_round": np.asarray(
+                    log.downlink_bytes_per_round, dtype=np.int64
+                ),
+            }
+        if self.recovery is not None:
+            recovery = self.recovery.state_dict()
+            recovery["snapshots"] = dict(enumerate(recovery["snapshots"]))
+            state["guard"] = {"recovery": recovery, "monitor": self.monitor.state_dict()}
+        return state
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` (after server, strategy and history)."""
+        self.rng.bit_generator.state = state["rng"]
+        for cid, rng_state in state["client_rngs"].items():
+            self.clients[int(cid)].sampler.rng.bit_generator.state = rng_state
+        self._cumulative_sim_time = float(state["cumulative_sim_time"])
+        self._last_evaluated_round = int(state["last_evaluated_round"])
+        if self.transport is not None and "transport" in state:
+            transport = state["transport"]
+            self.transport.rng.bit_generator.state = transport["rng"]
+            self.transport.log.uplink_bytes_per_round = [
+                int(b) for b in transport["uplink_bytes_per_round"]
+            ]
+            self.transport.log.downlink_bytes_per_round = [
+                int(b) for b in transport["downlink_bytes_per_round"]
+            ]
+        if self.recovery is None:
             return
-        last = self.history.records[-1]
-        if last.round == self._last_evaluated_round:
+        if "guard" not in state:
+            # Checkpoint written without a guard: treat the restored state
+            # as the known-good baseline and start the ladder fresh.
+            self.recovery.prime(self)
             return
-        if not np.isfinite(final_params).all():
-            return
-        self.model.load_vector(final_params)
-        accuracy, loss = evaluate(self.model, self.test_set)
-        last.test_accuracy = accuracy
-        last.test_loss = loss
-        self._last_evaluated_round = last.round
+        recovery = state["guard"]["recovery"]
+        snapshots = recovery["snapshots"]
+        recovery["snapshots"] = [snapshots[key] for key in sorted(snapshots, key=int)]
+        self.recovery.load_state_dict(recovery)
+        self.monitor.load_state_dict(state["guard"]["monitor"])
+        # Re-derive the mutated run knobs from the restored ladder position:
+        # the backed-off server lr and, if recovery had already escalated
+        # that far, the tightened quarantine.
+        self.server.global_lr = self.recovery.base_global_lr * self.recovery.lr_scale
+        if self.recovery.tightened:
+            self.recovery.tightened = False
+            self.recovery._tighten_quarantine(self)
 
     # ------------------------------------------------------------------
     def run_round(self) -> RoundRecord:
@@ -425,7 +456,7 @@ class FederatedSimulation:
                 accuracy = self.history.records[-1].test_accuracy
                 loss = self.history.records[-1].test_loss
 
-        alphas = {} if skipped else dict(getattr(self.strategy, "last_alphas", {}) or {})
+        alphas = {} if skipped else dict(self.strategy.last_alphas)
         record = RoundRecord(
             round=round_index,
             test_accuracy=accuracy,
@@ -467,8 +498,8 @@ class FederatedSimulation:
 
         Runs only when introspection is enabled, so the default path does no
         extra arithmetic.  The theory proxies need a coefficient assignment,
-        so they are published only for strategies exposing ``last_alphas``
-        (TACO and its Fig. 6 hybrids).
+        so they are published only for strategies with non-empty
+        ``last_alphas`` (TACO and its Fig. 6 hybrids).
         """
         introspector.scalar("server.test_accuracy", record.test_accuracy)
         introspector.scalar("server.test_loss", record.test_loss)
@@ -479,7 +510,7 @@ class FederatedSimulation:
             introspector.scalar(
                 "server.global_delta_norm", float(np.linalg.norm(delta))
             )
-        alphas = dict(getattr(self.strategy, "last_alphas", {}) or {})
+        alphas = dict(self.strategy.last_alphas)
         if alphas and updates and not skipped:
             for name, value in live_theory_scalars(
                 alphas,
@@ -538,3 +569,74 @@ class FederatedSimulation:
         if deadline is not None and (stragglers or fault_log.dropped):
             return float(deadline)
         return float(delivered_max)
+
+
+def finish_run(
+    engine,
+    run_started: float,
+    diverged: bool,
+    record_path: str | Path | None,
+    serving_summary: Optional[Callable[[], Optional[Dict[str, Any]]]] = None,
+) -> SimulationResult:
+    """The end of ``run()`` for both engines.
+
+    Refreshes the final metrics, evaluates the strategy's reported output,
+    builds the :class:`SimulationResult` and, with ``record_path``, writes
+    the runrecord (the async coordinator adds its ``serving`` summary).
+    """
+    final_params = engine.server.state.global_params.copy()
+    _refresh_final_metrics(engine, final_params, diverged)
+    output_params = engine.strategy.final_output(engine.server.state).copy()
+    engine.model.load_vector(final_params)
+    final_accuracy = engine.history.final_accuracy if len(engine.history) else 0.0
+    if np.isfinite(output_params).all():
+        engine.model.load_vector(output_params)
+        output_accuracy, _ = evaluate(engine.model, engine.test_set)
+    else:
+        output_accuracy = 0.0
+    engine.model.load_vector(final_params)
+    introspector = get_introspector()
+    result = SimulationResult(
+        history=engine.history,
+        final_params=final_params,
+        output_params=output_params,
+        final_accuracy=final_accuracy,
+        output_accuracy=output_accuracy,
+        diverged=diverged,
+        elapsed_seconds=time.perf_counter() - run_started,
+        diagnostics=list(introspector.records) if introspector.enabled else [],
+    )
+    if record_path is not None:
+        from ..runrecord import build_run_record, write_run_record
+
+        write_run_record(
+            build_run_record(
+                result,
+                algorithm=getattr(engine.strategy, "name", "unknown"),
+                serving=serving_summary() if serving_summary is not None else None,
+            ),
+            record_path,
+        )
+    return result
+
+
+def _refresh_final_metrics(engine, final_params: np.ndarray, diverged: bool) -> None:
+    """Force a final evaluation when ``eval_every`` skipped the last round.
+
+    Without this, a run whose last round fell between evaluation points
+    would report the *previous* evaluation's accuracy as its final one.
+    The stale record is fixed up in place so history and
+    ``SimulationResult.final_accuracy`` agree.
+    """
+    if diverged or not len(engine.history):
+        return
+    last = engine.history.records[-1]
+    if last.round == engine._last_evaluated_round:
+        return
+    if not np.isfinite(final_params).all():
+        return
+    engine.model.load_vector(final_params)
+    accuracy, loss = evaluate(engine.model, engine.test_set)
+    last.test_accuracy = accuracy
+    last.test_loss = loss
+    engine._last_evaluated_round = last.round

@@ -93,6 +93,10 @@ class AggregationDefence(Strategy):
     def expelled(self) -> frozenset[int]:
         return self.base.expelled
 
+    @property
+    def last_alphas(self) -> Dict[int, float]:
+        return self.base.last_alphas
+
     def final_output(self, state: ServerState) -> np.ndarray:
         return self.base.final_output(state)
 

@@ -283,7 +283,7 @@ class TestMidChaosResume:
             other.run(6, resume_from=tmp_path)
 
     def test_resume_plain_checkpoint_into_plain_coordinator(self, tmp_path):
-        """No-network checkpoints still round-trip (v2 loader, v1 fields)."""
+        """A checkpoint written without a network plan resumes bit-exactly."""
         straight = chaos_coordinator().run(4)
         first = chaos_coordinator()
         first.run(2, checkpoint_every=2, checkpoint_dir=tmp_path)

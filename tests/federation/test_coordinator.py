@@ -146,6 +146,24 @@ class TestSyncOracle:
         assert async_result.final_params.tobytes() == sync_result.final_params.tobytes()
 
 
+    def test_defence_wrapper_keeps_taco_alphas(self):
+        """TACO's alphas reach both engines' histories under a defence
+        wrapper, one per participant per round, as they do without it."""
+
+        def make():
+            taco = make_strategy("taco", local_lr=0.05, local_steps=2)
+            median = make_strategy("median", local_lr=0.05, local_steps=2)
+            return AggregationDefence(taco, median)
+
+        _, async_result, sync_result = run_both_engines(make, rounds=3)
+
+        for result in (async_result, sync_result):
+            assert [len(r.alphas) for r in result.history.records] == [8, 8, 8]
+        assert [r.alphas for r in async_result.history.records] == [
+            r.alphas for r in sync_result.history.records
+        ]
+
+
 class TestStaleness:
     def test_weights_follow_power_law(self):
         coordinator = small_coordinator(staleness_power=0.5)

@@ -1,11 +1,12 @@
 """Tests for checkpoint persistence."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.algorithms import make_strategy
+from repro.algorithms import algorithm_names, make_strategy
 from repro.data import IIDPartitioner, load_dataset
 from repro.faults import FaultPlan
 from repro.fl import Client, FederatedSimulation, RoundRecord, TrainingHistory
@@ -165,7 +166,7 @@ class TestHistoryCheckpoints:
         assert record.fault_count == 0
 
 
-def make_simulation(algorithm="taco", seed=0, fault_plan=None):
+def make_simulation(algorithm="taco", seed=0, fault_plan=None, local_lr=0.05):
     bundle = load_dataset("adult", 160, 60, seed=0)
     parts = IIDPartitioner().partition(bundle.train.labels, 4, np.random.default_rng(5))
     clients = [
@@ -173,7 +174,7 @@ def make_simulation(algorithm="taco", seed=0, fault_plan=None):
         for i, p in enumerate(parts)
     ]
     model = bundle.spec.make_model(rng=np.random.default_rng(seed))
-    strategy = make_strategy(algorithm, local_lr=0.05, local_steps=2)
+    strategy = make_strategy(algorithm, local_lr=local_lr, local_steps=2)
     return FederatedSimulation(
         model, clients, strategy, bundle.test, seed=seed, fault_plan=fault_plan
     )
@@ -278,3 +279,65 @@ class TestSimulationCheckpoints:
         )
         with pytest.raises(ValueError):
             load_simulation(wrong, tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_every_strategy_resumes_bit_exact(self, tmp_path, algorithm):
+        """3 rounds + checkpoint + resume to 6 == straight 6-round run, for
+        every strategy's cross-round state (FedDyn's h, FedMoS's server
+        momentum, the hybrids' tailored scales, ...)."""
+        straight = make_simulation(algorithm).run(6)
+        make_simulation(algorithm).run(3, checkpoint_every=1, checkpoint_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+        resumed = make_simulation(algorithm).run(6, resume_from=tmp_path)
+        assert resumed.final_params.tobytes() == straight.final_params.tobytes()
+        for mine, theirs in zip(resumed.history.records, straight.history.records):
+            assert mine.test_accuracy == theirs.test_accuracy
+            assert mine.alphas == theirs.alphas
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that dies at the rename leaves the round-3 checkpoint
+        intact and resumable, with no temp file behind."""
+        straight = make_simulation().run(6)
+        make_simulation().run(3, checkpoint_every=3, checkpoint_dir=tmp_path)
+
+        def crash(*args, **kwargs):
+            raise OSError("killed before the rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="killed"):
+                make_simulation().run(6, checkpoint_every=6, checkpoint_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+
+        resumed = make_simulation().run(6, resume_from=tmp_path)
+        assert resumed.final_params.tobytes() == straight.final_params.tobytes()
+        np.testing.assert_array_equal(
+            resumed.history.accuracies, straight.history.accuracies
+        )
+
+    def test_different_run_rejected(self, tmp_path):
+        """A fedavg checkpoint does not resume into fedprox at 10x the lr;
+        the error names every differing field with both values."""
+        make_simulation("fedavg").run(3, checkpoint_every=3, checkpoint_dir=tmp_path)
+        with pytest.raises(ValueError) as error:
+            make_simulation("fedprox", local_lr=0.5).run(6, resume_from=tmp_path)
+        message = str(error.value)
+        assert "strategy (saved 'fedavg', current 'fedprox')" in message
+        assert "local lr (saved 0.05, current 0.5)" in message
+        assert "global lr (saved 0.1, current 1.0)" in message
+        assert "num clients" not in message and "fault plan" not in message
+
+    def test_seed_and_fault_plan_are_part_of_the_run(self, tmp_path):
+        make_simulation().run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+        with pytest.raises(ValueError, match="seed"):
+            load_simulation(make_simulation(seed=1), tmp_path)
+        with pytest.raises(ValueError, match="fault plan"):
+            load_simulation(make_simulation(fault_plan=FaultPlan(drop_rate=0.2)), tmp_path)
+
+    def test_three_file_checkpoint_refused(self, tmp_path):
+        """The older arrays.npz + meta.json + history.json layout is refused
+        loudly rather than half-read."""
+        for name in ("arrays.npz", "meta.json", "history.json"):
+            (tmp_path / name).write_text("{}")
+        with pytest.raises(FileNotFoundError, match="checkpoint.npz"):
+            make_simulation().run(4, resume_from=tmp_path)
